@@ -92,47 +92,29 @@ fn bench_cross_shard_payload(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_executor_comparison(c: &mut Criterion) {
-    // Sequential vs parallel executor on the same workload: ingest a
-    // large client batch and assemble the cross-shard payload.  The two
-    // produce byte-identical results; this measures the wall-clock gain
-    // of spreading the pipelines over worker threads once the per-shard
-    // work outweighs the inbox hand-off.  Deployment behaviour is what
-    // is measured: on a single-core host the parallel executor degrades
-    // to inline execution, which the warning below makes explicit.
-    if std::thread::available_parallelism()
-        .map(|p| p.get() < 2)
-        .unwrap_or(false)
-    {
-        eprintln!(
-            "note: single-core host — ParallelExecutor degrades to inline execution, so the \
-             'parallel' rows measure what a deployment would run here, not worker threads \
-             (set SMP_FORCE_PARALLEL=1 to force them)"
-        );
-    }
+fn bench_large_ingest(c: &mut Criterion) {
+    // Ingest a large client batch and assemble the cross-shard payload.
+    // The group keeps its historical name and `sequential` labels so the
+    // rows stay comparable with recorded baselines.
     let mut group = c.benchmark_group("executor_ingest_4k_txs");
     for shards in [2usize, 4] {
-        for kind in ["sequential", "parallel"] {
-            group.bench_with_input(BenchmarkId::new(kind, shards), &shards, |b, &shards| {
+        group.bench_with_input(
+            BenchmarkId::new("sequential", shards),
+            &shards,
+            |b, &shards| {
                 let sys = system(shards);
                 let mut rng = SmallRng::seed_from_u64(3);
-                let mut mp = if kind == "sequential" {
-                    ShardedMempool::sequential(&sys, shards, 0, |_, scfg| {
-                        SimpleSmp::new(scfg, ReplicaId(0))
-                    })
-                } else {
-                    ShardedMempool::parallel(&sys, shards, 0, |_, scfg| {
-                        SimpleSmp::new(scfg, ReplicaId(0))
-                    })
-                };
+                let mut mp = ShardedMempool::new(&sys, shards, 0, |_, scfg| {
+                    SimpleSmp::new(scfg, ReplicaId(0))
+                });
                 let mut seq = 0u64;
                 b.iter(|| {
                     seq += 4_000;
                     let _ = mp.on_client_txs(seq, txs(4_000, seq), &mut rng);
                     mp.make_payload(seq)
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
 }
@@ -142,7 +124,7 @@ criterion_group!(
     bench_router,
     bench_sharded_ingest,
     bench_cross_shard_payload,
-    bench_executor_comparison
+    bench_large_ingest
 );
 
 // Custom main instead of `criterion_main!`: runs the groups, then exports

@@ -329,10 +329,10 @@ impl LoadBalancer {
 ///    the *aggregated* load picture (worst case across shards — a peer
 ///    that is busy on any pipeline is busy, period).
 ///
-/// Synchronisation points are the caller's choice; the sharded executor
-/// merges shard outputs deterministically, so running steps 2–3 at those
-/// merge points keeps coordination deterministic under both the
-/// sequential and the parallel executor.
+/// Synchronisation points are the caller's choice; the sharded wrapper
+/// runs steps 2–3 after each event-handling round, once every shard's
+/// output has been merged in order, which keeps coordination
+/// deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct ShardLoadCoordinator {
     /// Latest load sample per peer and shard (`None` = peer said busy).
@@ -419,8 +419,8 @@ impl ShardLoadCoordinator {
 
     /// [`absorb`](Self::absorb) from a pre-extracted ban set — for
     /// callers holding a drained `LoadSnapshot` instead of balancer
-    /// access (the sharded wrapper, whose instances may live on worker
-    /// threads).
+    /// access (the sharded wrapper, which sees its shards only through
+    /// the `Mempool` trait).
     pub fn absorb_bans(&mut self, shard: u16, bans: HashSet<ReplicaId>) {
         self.shard_bans.insert(shard, bans);
     }

@@ -12,8 +12,8 @@ use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool,
 use smp_metrics::{bytes_to_mbps, BandwidthBreakdown, RoleBandwidth, RunSummary};
 use smp_shard::ShardedMempool;
 use smp_types::{
-    DagMode, ExecutorKind, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig,
-    MICROS_PER_MS, MICROS_PER_SEC,
+    DagMode, MempoolConfig, NetworkPreset, ReplicaId, SimTime, SystemConfig, MICROS_PER_MS,
+    MICROS_PER_SEC,
 };
 use smp_workload::{LoadDistribution, WorkloadSpec};
 use stratus::{DlbConfig, StratusConfig, StratusMempool};
@@ -59,10 +59,6 @@ pub struct ExperimentConfig {
     /// Number of shared-mempool dissemination shards per replica
     /// (`smp-shard`); `1` runs the backend mempool unwrapped.
     pub shards: usize,
-    /// How the shards are driven: inline (`Sequential`, the default) or
-    /// one worker thread per shard (`Parallel`).  Byte-identical results
-    /// either way on the same seed; irrelevant when `shards == 1`.
-    pub executor: ExecutorKind,
     /// Whether to attach a live [`Telemetry`] sink to the run (metrics
     /// registry + span tracer, exposed on [`ExperimentResult::telemetry`]).
     /// Off by default; results are byte-identical either way.
@@ -95,9 +91,6 @@ impl ExperimentConfig {
             num_silent: 0,
             view_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
-            // The CI matrix exports SMP_EXECUTOR to run the whole suite
-            // under both executors; explicit `with_executor` overrides.
-            executor: ExecutorKind::from_env(),
             telemetry: false,
             dag_mode: DagMode::default(),
         }
@@ -118,12 +111,6 @@ impl ExperimentConfig {
     /// Sets the number of shared-mempool dissemination shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the shard-executor kind (sequential or parallel).
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -201,10 +188,7 @@ impl ExperimentConfig {
             ..MempoolConfig::default()
         };
         sys.view_change_timeout = self.view_timeout;
-        sys = sys
-            .with_shards(self.shards)
-            .with_executor(self.executor)
-            .with_dag_mode(self.dag_mode);
+        sys = sys.with_shards(self.shards).with_dag_mode(self.dag_mode);
         if let Some(q) = self.pab_quorum {
             sys = sys.with_pab_quorum(q);
         }
@@ -262,7 +246,7 @@ pub struct ExperimentResult {
     pub offered_tps: f64,
     /// The full observation log of the run (every commit, view change,
     /// stability and fetch event, in emission order).  This is what the
-    /// cross-executor conformance suite compares byte-for-byte.
+    /// replay conformance suite compares byte-for-byte.
     pub observations: simnet::ObservationLog,
     /// The run's telemetry sink: metrics registry and span trace.
     /// Disabled (and empty) unless the configuration set
@@ -319,11 +303,10 @@ pub fn run(config: &ExperimentConfig) -> ExperimentResult {
 /// Runs one protocol with its backend mempool, wrapping the backend in a
 /// [`ShardedMempool`] when the configuration asks for more than one
 /// dissemination shard.  Every protocol of Table II composes with
-/// sharding this way (e.g. `StratusHotStuff` × k shards), under either
-/// executor: the `make` closure receives the per-shard configuration
-/// (batch budget divided by `k`), and the replica id salts the per-shard
-/// RNG streams so the sequential and parallel executors stay
-/// byte-identical while different replicas stay decorrelated.
+/// sharding this way (e.g. `StratusHotStuff` × k shards): the `make`
+/// closure receives the per-shard configuration (batch budget divided by
+/// `k`), and the replica id salts the per-shard RNG streams so different
+/// replicas stay decorrelated.
 fn run_protocol<E, M, FE, FM>(
     config: &ExperimentConfig,
     sys: &SystemConfig,
@@ -332,25 +315,16 @@ fn run_protocol<E, M, FE, FM>(
 ) -> ExperimentResult
 where
     E: ConsensusEngine,
-    M: Mempool + Send + 'static,
-    M::Msg: MempoolWire + Send,
+    M: Mempool,
+    M::Msg: MempoolWire,
     FE: Fn(&SystemConfig, ReplicaId) -> E,
     FM: Fn(&SystemConfig, ReplicaId) -> M,
 {
     if config.shards > 1 {
         let k = config.shards;
-        match config.executor {
-            ExecutorKind::Sequential => run_generic(config, sys, make_engine, move |s, i| {
-                ShardedMempool::sequential(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-            ExecutorKind::Parallel => run_generic(config, sys, make_engine, move |s, i| {
-                ShardedMempool::parallel(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-        }
+        run_generic(config, sys, make_engine, move |s, i| {
+            ShardedMempool::new(s, k, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
+        })
     } else {
         run_generic(config, sys, make_engine, make_mempool)
     }

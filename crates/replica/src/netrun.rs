@@ -19,7 +19,7 @@ use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool,
 use smp_net::{spawn_admin, AdminState, ClusterSpec, NetRuntime, WireError, WireMsg};
 use smp_shard::ShardedMempool;
 use smp_telemetry::{FlightSampler, DEFAULT_WINDOW_CAPACITY};
-use smp_types::{DagMode, ExecutorKind, ReplicaId, SystemConfig, TxId};
+use smp_types::{DagMode, ReplicaId, SystemConfig, TxId};
 use std::io;
 use std::net::SocketAddr;
 use stratus::StratusMempool;
@@ -152,18 +152,9 @@ where
 {
     if config.shards > 1 {
         let k = config.shards;
-        match config.executor {
-            ExecutorKind::Sequential => v.visit(make_engine, move |s: &SystemConfig, i| {
-                ShardedMempool::sequential(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-            ExecutorKind::Parallel => v.visit(make_engine, move |s: &SystemConfig, i| {
-                ShardedMempool::parallel(s, k, i.0 as u64, |_, shard_sys| {
-                    make_mempool(shard_sys, i)
-                })
-            }),
-        }
+        v.visit(make_engine, move |s: &SystemConfig, i| {
+            ShardedMempool::new(s, k, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
+        })
     } else {
         v.visit(make_engine, make_mempool)
     }

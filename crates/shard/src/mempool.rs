@@ -1,15 +1,30 @@
 //! The sharded mempool wrapper.
+//!
+//! # Determinism contract
+//!
+//! Every shard runs inline on the replica's thread, and each wrapper call
+//! visits its shards in a fixed order, so the merged outbound messages,
+//! timers and `FillStatus` are a pure function of the inputs and the
+//! seed.  Randomness is pinned down as follows:
+//!
+//! * with `k > 1` every shard owns a private [`SmallRng`] stream derived
+//!   from `(seed, salt, shard)` by [`shard_rng_seed`]; the caller's RNG is
+//!   not consulted, so shard `j` draws the same stream whatever the other
+//!   shards do;
+//! * with `k == 1` the caller's RNG is threaded straight through, keeping
+//!   the single-shard wrapper a byte-transparent pass-through over the
+//!   bare backend.
 
 use crate::envelope::ShardedMsg;
-use crate::executor::{Executor, ParallelExecutor, SequentialExecutor, ShardExecutor, ShardOp};
 use crate::mux::TimerMux;
 use crate::router::ShardRouter;
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use smp_mempool::{Effects, FillStatus, Mempool, MempoolEvent, MempoolStats, TimerTag};
 use smp_telemetry::Telemetry;
 use smp_types::{
-    BlockId, ExecutorKind, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig,
-    Transaction, WireSize, SHARD_GROUP_TAG_BYTES,
+    BlockId, MicroblockRef, Payload, Proposal, ReplicaId, SimTime, SystemConfig, Transaction,
+    WireSize, SHARD_GROUP_TAG_BYTES,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -53,6 +68,21 @@ pub fn per_shard_config(config: &SystemConfig, shards: usize) -> SystemConfig {
     shard_config
 }
 
+/// Derives the RNG seed of one shard's private stream.
+///
+/// `seed` is the system seed, `salt` distinguishes replicas (the replica
+/// id in the standard wiring) so peers do not draw correlated streams,
+/// and `shard` separates the streams within one replica.
+pub fn shard_rng_seed(seed: u64, salt: u64, shard: usize) -> u64 {
+    let mut x = seed
+        ^ salt.rotate_left(17).wrapping_mul(0xd605_1c99_2958_9b1f)
+        ^ (shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // splitmix64 finalizer.
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A shared mempool running `k` independent dissemination pipelines.
 ///
 /// Wraps `k` instances of any backend mempool `M`.  Client transactions
@@ -63,13 +93,12 @@ pub fn per_shard_config(config: &SystemConfig, shards: usize) -> SystemConfig {
 /// configured byte budget, and incoming proposals are filled by fanning
 /// per-shard groups back out to the owning instances.
 ///
-/// The instances are driven by a [`ShardExecutor`]: inline on the
-/// replica's thread ([`SequentialExecutor`], the default) or one worker
-/// thread per shard ([`ParallelExecutor`]).  The two are byte-identical
-/// on the same seed (see the executor module docs for the determinism
-/// contract), so the choice is purely about hardware parallelism.
+/// The instances run inline on the replica's thread; see the module docs
+/// for the determinism contract.
 pub struct ShardedMempool<M: Mempool> {
-    executor: Executor<M>,
+    shards: Vec<M>,
+    /// One private RNG stream per shard, drawn from when `k > 1`.
+    rngs: Vec<SmallRng>,
     router: ShardRouter,
     mux: TimerMux,
     /// Round-robin start offset for payload assembly, advanced once per
@@ -97,49 +126,34 @@ pub struct ShardedMempool<M: Mempool> {
     /// lazily on the first round ([`Mempool::load_snapshot`] returning
     /// `None` everywhere means never coordinate again).
     load_coordinated: Option<bool>,
-    /// Observability only; also pushed into the executor (per shard,
-    /// re-prefixed `shard.<i>`) by [`Mempool::set_telemetry`].
+    /// Observability only; also pushed into every shard (re-prefixed
+    /// `shard.<i>`) by [`Mempool::set_telemetry`].
     telemetry: Telemetry,
 }
 
 impl<M: Mempool> ShardedMempool<M> {
-    /// Builds a sequentially executed sharded mempool with `shards`
-    /// instances produced by `make`, which receives the shard index and
-    /// the per-shard configuration (batch budget divided by `k`, see
-    /// [`per_shard_config`]).  Uses RNG salt 0 — in a multi-replica
-    /// deployment use [`Self::sequential`] with the replica id so peers
-    /// do not draw correlated per-shard streams.
+    /// Builds a sharded mempool with `shards` instances produced by
+    /// `make`, which receives the shard index and the per-shard
+    /// configuration (batch budget divided by `k`, see
+    /// [`per_shard_config`]).
+    ///
+    /// `salt` distinguishes the per-shard RNG streams of different
+    /// replicas — pass the replica id.  Two replicas built with the same
+    /// salt draw identical per-shard streams and make correlated random
+    /// choices.
     pub fn new<F: FnMut(usize, &SystemConfig) -> M>(
         config: &SystemConfig,
         shards: usize,
-        make: F,
-    ) -> Self {
-        Self::sequential(config, shards, 0, make)
-    }
-
-    /// Builds a sequentially executed sharded mempool.  `salt`
-    /// distinguishes the per-shard RNG streams of different replicas
-    /// (pass the replica id).
-    pub fn sequential<F: FnMut(usize, &SystemConfig) -> M>(
-        config: &SystemConfig,
-        shards: usize,
         salt: u64,
-        make: F,
+        mut make: F,
     ) -> Self {
         let k = shards.max(1);
-        let executor = Executor::Sequential(SequentialExecutor::new(
-            Self::instances(config, k, make),
-            config.seed,
-            salt,
-        ));
-        Self::with_executor(config, executor)
-    }
-
-    /// Wraps a pre-built executor.
-    pub fn with_executor(config: &SystemConfig, executor: Executor<M>) -> Self {
-        let k = executor.shard_count();
+        let shard_config = per_shard_config(config, k);
         ShardedMempool {
-            executor,
+            shards: (0..k).map(|s| make(s, &shard_config)).collect(),
+            rngs: (0..k)
+                .map(|s| SmallRng::seed_from_u64(shard_rng_seed(config.seed, salt, s)))
+                .collect(),
             router: ShardRouter::new(k),
             mux: TimerMux::new(),
             cursor: 0,
@@ -153,18 +167,19 @@ impl<M: Mempool> ShardedMempool<M> {
         }
     }
 
-    fn instances<F: FnMut(usize, &SystemConfig) -> M>(
+    /// Builds a sharded mempool with the shard count from
+    /// [`SystemConfig::shards`]; see [`Self::new`] for `salt`.
+    pub fn from_system<F: FnMut(usize, &SystemConfig) -> M>(
         config: &SystemConfig,
-        k: usize,
-        mut make: F,
-    ) -> Vec<M> {
-        let shard_config = per_shard_config(config, k);
-        (0..k).map(|s| make(s, &shard_config)).collect()
+        salt: u64,
+        make: F,
+    ) -> Self {
+        Self::new(config, config.shards, salt, make)
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.executor.shard_count()
+        self.shards.len()
     }
 
     /// The router assigning transactions to shards.
@@ -172,14 +187,9 @@ impl<M: Mempool> ShardedMempool<M> {
         &self.router
     }
 
-    /// Whether the shards run on worker threads.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self.executor, Executor::Parallel(_))
-    }
-
     /// Per-shard counters (the [`Mempool::stats`] roll-up, unaggregated).
     pub fn shard_stats(&self) -> Vec<MempoolStats> {
-        self.executor.shard_stats()
+        self.shards.iter().map(|s| s.stats()).collect()
     }
 
     /// Content drained from shards but not yet placed into a payload.
@@ -187,11 +197,25 @@ impl<M: Mempool> ShardedMempool<M> {
         self.carry.len()
     }
 
-    /// A specific backend instance, when it lives on the calling thread
-    /// (sequential or inline-parallel execution); `None` for worker-owned
-    /// shards.  For inspection and tests.
-    pub fn shard(&self, index: usize) -> Option<&M> {
-        self.executor.shard(index)
+    /// A specific backend instance (for inspection and tests).
+    pub fn shard(&self, index: usize) -> &M {
+        &self.shards[index]
+    }
+
+    /// Shard `shard` and the RNG it draws from: the caller's at `k == 1`
+    /// (the byte-transparent pass-through), its private stream otherwise.
+    fn shard_mut<'a>(
+        &'a mut self,
+        shard: u16,
+        caller_rng: &'a mut SmallRng,
+    ) -> (&'a mut M, &'a mut SmallRng) {
+        let s = shard as usize;
+        let rng = if self.shards.len() == 1 {
+            caller_rng
+        } else {
+            &mut self.rngs[s]
+        };
+        (&mut self.shards[s], rng)
     }
 
     /// The cross-shard load coordinator's merged ban view (for
@@ -205,16 +229,12 @@ impl<M: Mempool> ShardedMempool<M> {
     /// view back on every shard.  Backends without load balancing are
     /// detected on the first round and skipped forever after.
     fn coordinate_load(&mut self) {
-        let k = self.executor.shard_count();
-        if k == 1 || self.load_coordinated == Some(false) {
+        if self.shards.len() == 1 || self.load_coordinated == Some(false) {
             return;
         }
-        let ops: Vec<(u16, ShardOp<M>)> =
-            (0..k as u16).map(|s| (s, ShardOp::LoadSnapshot)).collect();
-        let outputs = self.executor.run(ops, None);
         let mut any = false;
-        for (shard, output) in (0..k as u16).zip(outputs) {
-            let Some(snap) = output.into_snapshot() else {
+        for (shard, mp) in (0u16..).zip(self.shards.iter_mut()) {
+            let Some(snap) = mp.load_snapshot() else {
                 continue;
             };
             any = true;
@@ -234,17 +254,9 @@ impl<M: Mempool> ShardedMempool<M> {
             return;
         }
         let banned = self.coordinator.banned();
-        let ops: Vec<(u16, ShardOp<M>)> = (0..k as u16)
-            .map(|s| {
-                (
-                    s,
-                    ShardOp::ApplyLoadView {
-                        banned: banned.clone(),
-                    },
-                )
-            })
-            .collect();
-        let _ = self.executor.run(ops, None);
+        for mp in &mut self.shards {
+            mp.apply_load_view(&banned);
+        }
     }
 
     /// Re-tags effects coming out of shard `shard`: messages get the
@@ -281,27 +293,21 @@ impl<M: Mempool> ShardedMempool<M> {
         out
     }
 
-    /// Runs a batch of per-shard operations and merges the lifted effects
-    /// in submission order.
-    fn run_effects(
+    /// Merges the lifted per-shard effects in order, then folds any DLB
+    /// change into the merged view before control returns to the replica
+    /// (event handling may have changed a shard's DLB state: an LbInfo
+    /// reply arrived, a forward went out, the reset fired).
+    fn merge_effects(
         &mut self,
-        ops: Vec<(u16, ShardOp<M>)>,
-        rng: Option<&mut SmallRng>,
+        outputs: Vec<(u16, Effects<M::Msg>)>,
     ) -> Effects<ShardedMsg<M::Msg>> {
-        if ops.is_empty() {
+        if outputs.is_empty() {
             return Effects::none();
         }
-        let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-        let _span = self.telemetry.span("sharded.exec");
-        let outputs = self.executor.run(ops, rng);
-        drop(_span);
         let mut out = Effects::none();
-        for (shard, output) in shards.into_iter().zip(outputs) {
-            out.merge(self.lift(shard, output.into_effects()));
+        for (shard, fx) in outputs {
+            out.merge(self.lift(shard, fx));
         }
-        // Event handling may have changed a shard's DLB state (an LbInfo
-        // reply arrived, a forward went out, the reset fired): fold it
-        // into the merged view before control returns to the replica.
         self.coordinate_load();
         out
     }
@@ -362,23 +368,17 @@ impl<M: Mempool> ShardedMempool<M> {
     /// of accumulating without bound in the carry queue under sustained
     /// overload.
     fn drain_shards(&mut self, now: SimTime) -> Vec<PayloadItem> {
-        let k = self.executor.shard_count();
+        let k = self.shards.len();
         let backlogged = self.carry_bytes >= self.budget;
         let mut items: Vec<PayloadItem> = self.carry.drain(..).collect();
         self.carry_bytes = 0;
         if backlogged {
             return items;
         }
-        let ops: Vec<(u16, ShardOp<M>)> = (0..k)
-            .map(|off| {
-                let s = (self.cursor + off) % k;
-                (s as u16, ShardOp::MakePayload { now })
-            })
-            .collect();
-        let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-        let payloads = self.executor.run(ops, None);
-        for (s, output) in shards.into_iter().zip(payloads) {
-            match output.into_payload() {
+        for off in 0..k {
+            let idx = (self.cursor + off) % k;
+            let s = idx as u16;
+            match self.shards[idx].make_payload(now) {
                 Payload::Empty => {}
                 Payload::Refs(refs) => {
                     items.extend(refs.into_iter().map(|r| PayloadItem::Ref(s, r)));
@@ -458,49 +458,6 @@ impl<M: Mempool> ShardedMempool<M> {
     }
 }
 
-impl<M> ShardedMempool<M>
-where
-    M: Mempool + Send + 'static,
-    M::Msg: Send,
-{
-    /// Builds a sharded mempool whose shards run on worker threads.
-    /// `salt` distinguishes the per-shard RNG streams of different
-    /// replicas (pass the replica id); on the same `(config, salt)` the
-    /// parallel mempool is byte-identical to the sequential one.
-    pub fn parallel<F: FnMut(usize, &SystemConfig) -> M>(
-        config: &SystemConfig,
-        shards: usize,
-        salt: u64,
-        make: F,
-    ) -> Self {
-        let k = shards.max(1);
-        let executor = Executor::Parallel(ParallelExecutor::new(
-            Self::instances(config, k, make),
-            config.seed,
-            salt,
-        ));
-        Self::with_executor(config, executor)
-    }
-
-    /// Builds a sharded mempool with the shard count and executor kind
-    /// from [`SystemConfig::shards`] / [`SystemConfig::executor`].
-    ///
-    /// `salt` distinguishes the per-shard RNG streams of different
-    /// replicas — pass the replica id.  Two replicas built with the same
-    /// salt draw identical per-shard streams and make correlated random
-    /// choices.
-    pub fn from_system<F: FnMut(usize, &SystemConfig) -> M>(
-        config: &SystemConfig,
-        salt: u64,
-        make: F,
-    ) -> Self {
-        match config.executor {
-            ExecutorKind::Sequential => Self::sequential(config, config.shards, salt, make),
-            ExecutorKind::Parallel => Self::parallel(config, config.shards, salt, make),
-        }
-    }
-}
-
 impl<M: Mempool> Mempool for ShardedMempool<M> {
     type Msg = ShardedMsg<M::Msg>;
 
@@ -510,13 +467,18 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         txs: Vec<Transaction>,
         rng: &mut SmallRng,
     ) -> Effects<Self::Msg> {
-        let ops: Vec<(u16, ShardOp<M>)> = self
-            .router
-            .partition(txs)
+        let groups = self.router.partition(txs);
+        let span = self.telemetry.span("sharded.exec");
+        let outputs = groups
             .into_iter()
-            .map(|(shard, group)| (shard as u16, ShardOp::ClientTxs { now, txs: group }))
+            .map(|(shard, group)| {
+                let shard = shard as u16;
+                let (mp, rng) = self.shard_mut(shard, rng);
+                (shard, mp.on_client_txs(now, group, rng))
+            })
             .collect();
-        self.run_effects(ops, Some(rng))
+        drop(span);
+        self.merge_effects(outputs)
     }
 
     fn on_message(
@@ -527,44 +489,34 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         rng: &mut SmallRng,
     ) -> Effects<Self::Msg> {
         let shard = msg.shard;
-        if shard as usize >= self.executor.shard_count() {
+        if shard as usize >= self.shards.len() {
             // A peer with a different shard count is misconfigured (or
             // Byzantine); drop the message rather than panic.
             return Effects::none();
         }
-        let ops = vec![(
-            shard,
-            ShardOp::Message {
-                now,
-                from,
-                msg: msg.inner,
-            },
-        )];
-        self.run_effects(ops, Some(rng))
+        let span = self.telemetry.span("sharded.exec");
+        let (mp, rng) = self.shard_mut(shard, rng);
+        let fx = mp.on_message(now, from, msg.inner, rng);
+        drop(span);
+        self.merge_effects(vec![(shard, fx)])
     }
 
     fn on_timer(&mut self, now: SimTime, tag: TimerTag, rng: &mut SmallRng) -> Effects<Self::Msg> {
-        match self.mux.fire(tag) {
-            Some((shard, inner)) => {
-                let ops = vec![(shard, ShardOp::Timer { now, tag: inner })];
-                self.run_effects(ops, Some(rng))
-            }
-            None => Effects::none(),
-        }
+        let Some((shard, inner)) = self.mux.fire(tag) else {
+            return Effects::none();
+        };
+        let span = self.telemetry.span("sharded.exec");
+        let (mp, rng) = self.shard_mut(shard, rng);
+        let fx = mp.on_timer(now, inner, rng);
+        drop(span);
+        self.merge_effects(vec![(shard, fx)])
     }
 
     fn make_payload(&mut self, now: SimTime) -> Payload {
-        if self.executor.shard_count() == 1 && self.carry.is_empty() {
+        if self.shards.len() == 1 && self.carry.is_empty() {
             // Transparent fast path: one shard proposes exactly what the
             // unwrapped backend would.
-            let outputs = self
-                .executor
-                .run(vec![(0, ShardOp::MakePayload { now })], None);
-            return outputs
-                .into_iter()
-                .next()
-                .expect("one output")
-                .into_payload();
+            return self.shards[0].make_payload(now);
         }
         let _span = self.telemetry.span_at("sharded.make_payload", now);
         let items = self.drain_shards(now);
@@ -585,42 +537,29 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
         self.prune_carry(proposal);
         match &proposal.payload {
             Payload::Sharded(groups) => {
-                let k = self.executor.shard_count();
+                let k = self.shards.len();
                 if groups.iter().any(|(shard, _)| *shard as usize >= k) {
                     return (
                         FillStatus::Invalid("unknown shard in proposal"),
                         Effects::none(),
                     );
                 }
-                // Every referenced shard verifies its group; the verdicts
-                // are aggregated afterwards so the executor can fan the
-                // sub-proposals out concurrently.
-                let ops: Vec<(u16, ShardOp<M>)> = groups
-                    .iter()
-                    .map(|(shard, sub)| {
-                        (
-                            *shard,
-                            ShardOp::Proposal {
-                                now,
-                                proposal: Self::sub_proposal(proposal, sub.clone()),
-                            },
-                        )
-                    })
-                    .collect();
-                let shards: Vec<u16> = ops.iter().map(|(s, _)| *s).collect();
-                let outputs = self.executor.run(ops, Some(rng));
+                // Every referenced shard verifies its group; the proposal
+                // is `Ready` only once all of them are.
                 let mut out = Effects::none();
                 let mut missing = Vec::new();
                 let mut waiting: HashSet<u16> = HashSet::new();
                 let mut invalid: Option<&'static str> = None;
-                for (shard, output) in shards.into_iter().zip(outputs) {
-                    let (status, fx) = output.into_fill();
-                    out.merge(self.lift(shard, fx));
+                for (shard, sub) in groups {
+                    let sub = Self::sub_proposal(proposal, sub.clone());
+                    let (mp, rng) = self.shard_mut(*shard, rng);
+                    let (status, fx) = mp.on_proposal(now, &sub, rng);
+                    out.merge(self.lift(*shard, fx));
                     match status {
                         FillStatus::Ready => {}
                         FillStatus::MustWait(ids) => {
                             missing.extend(ids);
-                            waiting.insert(shard);
+                            waiting.insert(*shard);
                         }
                         FillStatus::Invalid(reason) => {
                             invalid.get_or_insert(reason);
@@ -645,23 +584,9 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
                 }
             }
             // Empty / inline / single-shard payloads belong to shard 0.
-            // The clone is shallow: transaction payloads are `Bytes`
-            // (refcounted), so it costs O(items), not O(payload bytes).
             _ => {
-                let ops = vec![(
-                    0u16,
-                    ShardOp::Proposal {
-                        now,
-                        proposal: proposal.clone(),
-                    },
-                )];
-                let output = self
-                    .executor
-                    .run(ops, Some(rng))
-                    .into_iter()
-                    .next()
-                    .expect("one output");
-                let (status, fx) = output.into_fill();
+                let (mp, rng) = self.shard_mut(0, rng);
+                let (status, fx) = mp.on_proposal(now, proposal, rng);
                 if matches!(status, FillStatus::MustWait(_)) {
                     self.pending_fills
                         .insert(proposal.id, HashSet::from([0u16]));
@@ -675,45 +600,33 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
     fn on_commit(&mut self, now: SimTime, proposal: &Proposal) -> Effects<Self::Msg> {
         self.pending_fills.remove(&proposal.id);
         self.prune_carry(proposal);
-        match &proposal.payload {
-            Payload::Sharded(groups) => {
-                let k = self.executor.shard_count();
-                let ops: Vec<(u16, ShardOp<M>)> = groups
-                    .iter()
-                    .filter(|(shard, _)| (*shard as usize) < k)
-                    .map(|(shard, sub)| {
-                        (
-                            *shard,
-                            ShardOp::Commit {
-                                now,
-                                proposal: Self::sub_proposal(proposal, sub.clone()),
-                            },
-                        )
-                    })
-                    .collect();
-                self.run_effects(ops, None)
-            }
-            _ => {
-                let ops = vec![(
-                    0u16,
-                    ShardOp::Commit {
-                        now,
-                        proposal: proposal.clone(),
-                    },
-                )];
-                self.run_effects(ops, None)
-            }
-        }
+        let k = self.shards.len();
+        let span = self.telemetry.span("sharded.exec");
+        let outputs = match &proposal.payload {
+            Payload::Sharded(groups) => groups
+                .iter()
+                .filter(|(shard, _)| (*shard as usize) < k)
+                .map(|(shard, sub)| {
+                    let sub = Self::sub_proposal(proposal, sub.clone());
+                    (*shard, self.shards[*shard as usize].on_commit(now, &sub))
+                })
+                .collect(),
+            _ => vec![(0, self.shards[0].on_commit(now, proposal))],
+        };
+        drop(span);
+        self.merge_effects(outputs)
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.executor.set_telemetry(telemetry.clone());
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard.set_telemetry(telemetry.with_prefix(&format!("shard.{i}")));
+        }
         self.telemetry = telemetry;
     }
 
     fn stats(&self) -> MempoolStats {
         let mut total = MempoolStats::default();
-        for st in self.executor.shard_stats() {
+        for st in self.shard_stats() {
             total.unbatched_txs += st.unbatched_txs;
             total.stored_microblocks += st.stored_microblocks;
             total.proposable_microblocks += st.proposable_microblocks;
@@ -722,5 +635,20 @@ impl<M: Mempool> Mempool for ShardedMempool<M> {
             total.fetches_issued += st.fetches_issued;
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shard_rng_seed;
+
+    #[test]
+    fn shard_rng_seeds_are_distinct() {
+        let mut seen = std::collections::HashSet::new();
+        for salt in 0..8u64 {
+            for shard in 0..8usize {
+                assert!(seen.insert(shard_rng_seed(42, salt, shard)));
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Observability layer for the Stratus reproduction.
 //!
 //! A [`Telemetry`] handle is threaded through the simulation, replicas,
-//! mempools, shard executors, and the distributed load balancer.  It
+//! mempools, mempool shards, and the distributed load balancer.  It
 //! fans into two sinks:
 //!
 //! * a hierarchical [`MetricsRegistry`] of counters, gauges, and latency
@@ -17,8 +17,7 @@
 //! returns before formatting a key or taking a lock, so instrumented hot
 //! paths cost one branch when telemetry is off.  Telemetry never touches
 //! simulation RNG or event ordering: enabling it must leave simulation
-//! results byte-identical (the cross-executor conformance suite asserts
-//! this).
+//! results byte-identical (the replay conformance suite asserts this).
 
 pub mod flightrec;
 mod registry;

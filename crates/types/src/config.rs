@@ -61,58 +61,6 @@ impl NetworkPreset {
     }
 }
 
-/// How the per-shard dissemination pipelines of a sharded mempool are
-/// driven (`smp-shard`).
-///
-/// The sequential executor runs every shard inline on the replica's
-/// thread (the deterministic default, and what the discrete-event
-/// simulator uses).  The parallel executor gives each shard its own
-/// worker thread with a private inbox, merging outputs back in a
-/// deterministic order — the two are byte-identical on the same seed
-/// (proven by the cross-executor conformance suite in
-/// `tests/conformance.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutorKind {
-    /// All shards run inline on the calling thread.
-    #[default]
-    Sequential,
-    /// One worker thread per shard (true multi-core dissemination).
-    Parallel,
-}
-
-impl ExecutorKind {
-    /// Stable label for reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutorKind::Sequential => "sequential",
-            ExecutorKind::Parallel => "parallel",
-        }
-    }
-
-    /// Reads the `SMP_EXECUTOR` environment variable
-    /// (`sequential`/`parallel`, defaulting to sequential) — the hook the
-    /// CI executor matrix uses to run the whole suite under both
-    /// executors.
-    pub fn from_env() -> Self {
-        match std::env::var("SMP_EXECUTOR") {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => ExecutorKind::Sequential,
-        }
-    }
-}
-
-impl std::str::FromStr for ExecutorKind {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Ok(ExecutorKind::Sequential),
-            "parallel" | "par" => Ok(ExecutorKind::Parallel),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Commit-derivation mode of the DAG mempool (`smp-dag`, the D-HS rows).
 ///
 /// Both modes share the same DAG: blocks are consistently broadcast,
@@ -217,10 +165,6 @@ pub struct SystemConfig {
     /// (`smp-shard`).  `1` disables sharding and runs the backend mempool
     /// unwrapped.
     pub shards: usize,
-    /// How the shards are driven: inline on the replica thread
-    /// (sequential) or on one worker thread each (parallel).  Irrelevant
-    /// when `shards == 1`.
-    pub executor: ExecutorKind,
     /// Commit-derivation mode of the DAG mempool (ignored by every other
     /// backend).
     pub dag_mode: DagMode,
@@ -244,7 +188,6 @@ impl SystemConfig {
             mempool: MempoolConfig::default(),
             view_change_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
-            executor: ExecutorKind::Sequential,
             dag_mode: DagMode::default(),
         }
     }
@@ -253,12 +196,6 @@ impl SystemConfig {
     /// at least 1.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the shard-executor kind (sequential or parallel).
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -371,18 +308,6 @@ mod tests {
         assert_eq!(m.tx_payload_bytes, 128);
         assert_eq!(m.batch_timeout, 200_000);
         assert_eq!(m.txs_per_batch(), 1024);
-    }
-
-    #[test]
-    fn executor_kind_parses_and_defaults() {
-        assert_eq!("sequential".parse(), Ok(ExecutorKind::Sequential));
-        assert_eq!("PAR".parse(), Ok(ExecutorKind::Parallel));
-        assert_eq!(" parallel ".parse(), Ok(ExecutorKind::Parallel));
-        assert_eq!("bogus".parse::<ExecutorKind>(), Err(()));
-        assert_eq!(ExecutorKind::default(), ExecutorKind::Sequential);
-        assert_eq!(ExecutorKind::Parallel.label(), "parallel");
-        let c = SystemConfig::new(4).with_executor(ExecutorKind::Parallel);
-        assert_eq!(c.executor, ExecutorKind::Parallel);
     }
 
     #[test]

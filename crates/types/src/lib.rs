@@ -18,7 +18,7 @@ pub mod transaction;
 pub mod wire;
 
 pub use block::Block;
-pub use config::{DagMode, ExecutorKind, MempoolConfig, NetworkPreset, SystemConfig};
+pub use config::{DagMode, MempoolConfig, NetworkPreset, SystemConfig};
 pub use ids::{mb_id_derivations, BlockId, ClientId, MicroblockId, ReplicaId, TxId, View};
 pub use microblock::Microblock;
 pub use proposal::{MicroblockRef, Payload, Proposal, SHARD_GROUP_TAG_BYTES};

@@ -47,14 +47,11 @@ pub mod prelude {
     pub use smp_replica::{
         saturation_sweep, Behavior, ExperimentConfig, ExperimentResult, Protocol, Replica,
     };
-    pub use smp_shard::{
-        ParallelExecutor, SequentialExecutor, ShardExecutor, ShardRouter, ShardedMempool,
-        ShardedMsg,
-    };
+    pub use smp_shard::{ShardRouter, ShardedMempool, ShardedMsg};
     pub use smp_telemetry::Telemetry;
     pub use smp_types::{
-        DagMode, ExecutorKind, MempoolConfig, NetworkPreset, Payload, Proposal, ReplicaId,
-        SystemConfig, Transaction, View,
+        DagMode, MempoolConfig, NetworkPreset, Payload, Proposal, ReplicaId, SystemConfig,
+        Transaction, View,
     };
     pub use smp_workload::{LoadDistribution, WorkloadSpec};
     pub use stratus::{DlbConfig, ShardLoadCoordinator, StratusConfig, StratusMempool};

@@ -4,7 +4,6 @@
 
 use stratus_repro::prelude::*;
 use stratus_repro::replica::MempoolWire;
-use stratus_repro::types::ExecutorKind;
 
 fn quick(protocol: Protocol, n: usize, rate: f64) -> ExperimentConfig {
     ExperimentConfig::new(protocol, n, rate)
@@ -14,29 +13,26 @@ fn quick(protocol: Protocol, n: usize, rate: f64) -> ExperimentConfig {
 
 #[test]
 fn stratus_and_narwhal_commit_under_every_shard_count_and_executor() {
+    // Shards always run inline now; the name is kept so the test id stays
+    // stable across history.
     for protocol in [Protocol::StratusHotStuff, Protocol::Narwhal] {
         let base = quick(protocol, 4, 4_000.0);
-        for executor in [ExecutorKind::Sequential, ExecutorKind::Parallel] {
-            for shards in [1usize, 2, 4] {
-                let result =
-                    run_experiment(&base.clone().with_shards(shards).with_executor(executor));
-                assert!(
-                    result.committed_txs > 1_000,
-                    "{} with {} shards ({}) committed only {} txs",
-                    protocol.label(),
-                    shards,
-                    executor.label(),
-                    result.committed_txs
-                );
-                assert_eq!(
-                    result.view_changes,
-                    0,
-                    "{} with {} shards ({}) caused view changes in the failure-free case",
-                    protocol.label(),
-                    shards,
-                    executor.label()
-                );
-            }
+        for shards in [1usize, 2, 4] {
+            let result = run_experiment(&base.clone().with_shards(shards));
+            assert!(
+                result.committed_txs > 1_000,
+                "{} with {} shards committed only {} txs",
+                protocol.label(),
+                shards,
+                result.committed_txs
+            );
+            assert_eq!(
+                result.view_changes,
+                0,
+                "{} with {} shards caused view changes in the failure-free case",
+                protocol.label(),
+                shards
+            );
         }
     }
 }
@@ -108,7 +104,7 @@ fn wrapped_single_shard_pipeline_matches_the_bare_backend() {
         StratusMempool::new(&sys, StratusConfig::default(), id)
     });
     let wrapped = committed_in_manual_sim(&sys, |id| {
-        ShardedMempool::new(&sys, 1, |_, shard_sys| {
+        ShardedMempool::new(&sys, 1, 0, |_, shard_sys| {
             StratusMempool::new(shard_sys, StratusConfig::default(), id)
         })
     });
@@ -116,30 +112,6 @@ fn wrapped_single_shard_pipeline_matches_the_bare_backend() {
     assert_eq!(
         bare, wrapped,
         "ShardedMempool at k = 1 must commit exactly what the bare backend commits"
-    );
-}
-
-#[test]
-fn parallel_and_sequential_wrappers_commit_identically_in_a_manual_sim() {
-    // Same check as the conformance suite but through the hand-assembled
-    // deployment path (no ExperimentConfig), at k = 2 where worker
-    // threads are genuinely in play.
-    stratus_repro::shard::force_parallel_workers(true);
-    let sys = SystemConfig::new(4).with_seed(11).with_shards(2);
-    let seq = committed_in_manual_sim(&sys, |id| {
-        ShardedMempool::sequential(&sys, 2, id.0 as u64, |_, shard_sys| {
-            StratusMempool::new(shard_sys, StratusConfig::default(), id)
-        })
-    });
-    let par = committed_in_manual_sim(&sys, |id| {
-        ShardedMempool::parallel(&sys, 2, id.0 as u64, |_, shard_sys| {
-            StratusMempool::new(shard_sys, StratusConfig::default(), id)
-        })
-    });
-    assert!(seq > 0, "sequential baseline committed nothing");
-    assert_eq!(
-        seq, par,
-        "worker-thread execution must commit exactly what inline execution commits"
     );
 }
 
