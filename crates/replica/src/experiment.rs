@@ -2,11 +2,20 @@
 //! offers client load, and collects the measurements the paper reports
 //! (throughput, latency, view changes, per-kind outbound bandwidth,
 //! throughput time series).
+//!
+//! This module also holds the crate's one protocol table.  `dispatch`
+//! resolves a [`Protocol`] to its (engine, mempool) stack, applies the
+//! shard wrap, and hands a `ProtocolVisitor` a factory that builds each
+//! replica through `replica`.  [`run`] is one visitor; the simulator
+//! reference runner and the socket runner in [`crate::netrun`] are the
+//! other two.  A new protocol is registered in `protocols.rs` and in
+//! `dispatch`, nowhere else.
 
 use crate::protocols::Protocol;
 use crate::replica::{Behavior, Replica};
+use crate::wire::codec::WireCodec;
 use crate::wire::MempoolWire;
-use simnet::{FaultWindow, NetConfig, Node, Simulation, Telemetry};
+use simnet::{FaultWindow, NetConfig, Simulation, Telemetry};
 use smp_consensus::{ConsensusEngine, HotStuffEngine, MirBftEngine, PbftEngine, StreamletEngine};
 use smp_mempool::{DagMempool, GossipSmp, Mempool, NarwhalMempool, NativeMempool, SimpleSmp};
 use smp_metrics::{bytes_to_mbps, BandwidthBreakdown, RoleBandwidth, RunSummary};
@@ -63,10 +72,6 @@ pub struct ExperimentConfig {
     /// registry + span tracer, exposed on [`ExperimentResult::telemetry`]).
     /// Off by default; results are byte-identical either way.
     pub telemetry: bool,
-    /// Commit-derivation mode for the DAG mempool protocols (ignored by
-    /// every other backend).  `DagHotStuffFast` forces the fast path
-    /// regardless of this knob.
-    pub dag_mode: DagMode,
 }
 
 impl ExperimentConfig {
@@ -92,14 +97,7 @@ impl ExperimentConfig {
             view_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
             telemetry: false,
-            dag_mode: DagMode::default(),
         }
-    }
-
-    /// Sets the DAG mempool commit-derivation mode.
-    pub fn with_dag_mode(mut self, mode: DagMode) -> Self {
-        self.dag_mode = mode;
-        self
     }
 
     /// Enables (or disables) the telemetry sink for this run.
@@ -188,20 +186,20 @@ impl ExperimentConfig {
             ..MempoolConfig::default()
         };
         sys.view_change_timeout = self.view_timeout;
-        sys = sys.with_shards(self.shards).with_dag_mode(self.dag_mode);
+        sys = sys.with_shards(self.shards);
         if let Some(q) = self.pab_quorum {
             sys = sys.with_pab_quorum(q);
         }
         sys
     }
 
-    fn net_config(&self) -> NetConfig {
+    pub(crate) fn net_config(&self) -> NetConfig {
         let mut net = NetConfig::from_preset(self.network);
         net.fault_windows = self.fault_windows.clone();
         net
     }
 
-    pub(crate) fn behavior_for(&self, i: usize) -> Behavior {
+    fn behavior_for(&self, i: usize) -> Behavior {
         let byz_start = self.n.saturating_sub(self.num_byzantine);
         let silent_start = byz_start.saturating_sub(self.num_silent);
         if i >= byz_start {
@@ -215,7 +213,7 @@ impl ExperimentConfig {
         }
     }
 
-    pub(crate) fn stratus_config(&self, sys: &SystemConfig) -> StratusConfig {
+    fn stratus_config(&self, sys: &SystemConfig) -> StratusConfig {
         let dlb = if self.dlb_enabled {
             DlbConfig::default().with_d(self.dlb_d)
         } else {
@@ -261,130 +259,156 @@ impl ExperimentResult {
     }
 }
 
-/// Runs a single experiment.
-pub fn run(config: &ExperimentConfig) -> ExperimentResult {
-    let sys = config.system();
+/// Visitor over the concrete (engine, mempool) types of a protocol.
+/// [`dispatch`] resolves a [`Protocol`] to its stack and hands the
+/// visitor a factory for replica `i` whose mempool reports under the
+/// given telemetry sink; the visitor decides how to run the replicas.
+pub(crate) trait ProtocolVisitor {
+    type Out;
+    fn visit<E, M>(self, replica: impl Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
+    where
+        E: ConsensusEngine,
+        M: Mempool + Send + 'static,
+        M::Msg: MempoolWire + WireCodec + Send + 'static;
+}
+
+/// Replica `i` of `config`'s deployment, with its mempool reporting under
+/// `replica.{i}` on `telemetry`.  Every runner builds its replicas here.
+pub(crate) fn replica<E, M>(
+    config: &ExperimentConfig,
+    sys: &SystemConfig,
+    i: usize,
+    engine: E,
+    mut mempool: M,
+    telemetry: &Telemetry,
+) -> Replica<E, M>
+where
+    E: ConsensusEngine,
+    M: Mempool,
+    M::Msg: MempoolWire,
+{
+    mempool.set_telemetry(
+        telemetry
+            .with_prefix(&format!("replica.{i}"))
+            .with_track(i as u32),
+    );
+    Replica::new(
+        sys,
+        ReplicaId(i as u32),
+        engine,
+        mempool,
+        config.behavior_for(i),
+        config.workload.rates(config.n)[i],
+        config.protocol.is_stratus(),
+        i == 0,
+    )
+}
+
+/// Wraps the backend mempool in a [`ShardedMempool`] when the
+/// configuration asks for more than one dissemination shard, then hands
+/// the final stack to the visitor.  Every protocol of Table II composes
+/// with sharding this way (e.g. `StratusHotStuff` × k shards): each shard
+/// gets the per-shard configuration (batch budget divided by `k`), and
+/// the replica id salts the per-shard RNG streams so different replicas
+/// stay decorrelated.
+fn visit_backend<V, E, M>(
+    config: &ExperimentConfig,
+    sys: &SystemConfig,
+    v: V,
+    make_engine: impl Fn(&SystemConfig, ReplicaId) -> E,
+    make_mempool: impl Fn(&SystemConfig, ReplicaId) -> M,
+) -> V::Out
+where
+    V: ProtocolVisitor,
+    E: ConsensusEngine,
+    M: Mempool + Send + 'static,
+    M::Msg: MempoolWire + WireCodec + Send + 'static,
+{
+    let engine = |i: usize| make_engine(sys, ReplicaId(i as u32));
+    if config.shards > 1 {
+        let k = config.shards;
+        v.visit(|i, telemetry| {
+            let id = ReplicaId(i as u32);
+            let mempool = ShardedMempool::new(sys, k, id.0 as u64, |_, shard_sys| {
+                make_mempool(shard_sys, id)
+            });
+            replica(config, sys, i, engine(i), mempool, telemetry)
+        })
+    } else {
+        v.visit(|i, telemetry| {
+            let mempool = make_mempool(sys, ReplicaId(i as u32));
+            replica(config, sys, i, engine(i), mempool, telemetry)
+        })
+    }
+}
+
+/// The protocol table: resolves `config.protocol` to its concrete
+/// (engine, mempool) stack and runs the visitor on it.  This is the only
+/// place a [`Protocol`] becomes code; a new protocol is registered in
+/// `protocols.rs` and here.
+pub(crate) fn dispatch<V: ProtocolVisitor>(config: &ExperimentConfig, v: V) -> V::Out {
+    let sys = &config.system();
+    let st = config.stratus_config(sys);
+    let stratus = move |s: &SystemConfig, i| StratusMempool::new(s, st, i);
     match config.protocol {
         Protocol::NativeHotStuff => {
-            run_protocol(config, &sys, HotStuffEngine::new, NativeMempool::new)
+            visit_backend(config, sys, v, HotStuffEngine::new, NativeMempool::new)
         }
-        Protocol::NativePbft => run_protocol(config, &sys, PbftEngine::new, NativeMempool::new),
-        Protocol::SmpHotStuff => run_protocol(config, &sys, HotStuffEngine::new, SimpleSmp::new),
+        Protocol::NativePbft => visit_backend(config, sys, v, PbftEngine::new, NativeMempool::new),
+        Protocol::SmpHotStuff => visit_backend(config, sys, v, HotStuffEngine::new, SimpleSmp::new),
         Protocol::SmpHotStuffGossip => {
-            run_protocol(config, &sys, HotStuffEngine::new, GossipSmp::new)
+            visit_backend(config, sys, v, HotStuffEngine::new, GossipSmp::new)
         }
-        Protocol::StratusHotStuff => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, HotStuffEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
+        Protocol::StratusHotStuff => visit_backend(config, sys, v, HotStuffEngine::new, stratus),
+        Protocol::StratusPbft => visit_backend(config, sys, v, PbftEngine::new, stratus),
+        Protocol::StratusStreamlet => visit_backend(config, sys, v, StreamletEngine::new, stratus),
+        Protocol::Narwhal => {
+            visit_backend(config, sys, v, HotStuffEngine::new, NarwhalMempool::new)
         }
-        Protocol::StratusPbft => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, PbftEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
+        Protocol::MirBft => visit_backend(config, sys, v, MirBftEngine::new, NativeMempool::new),
+        Protocol::DagHotStuff => {
+            visit_backend(config, sys, v, HotStuffEngine::new, DagMempool::new)
         }
-        Protocol::StratusStreamlet => {
-            let st = config.stratus_config(&sys);
-            run_protocol(config, &sys, StreamletEngine::new, move |s, i| {
-                StratusMempool::new(s, st, i)
-            })
-        }
-        Protocol::Narwhal => run_protocol(config, &sys, HotStuffEngine::new, NarwhalMempool::new),
-        Protocol::MirBft => run_protocol(config, &sys, MirBftEngine::new, NativeMempool::new),
-        Protocol::DagHotStuff => run_protocol(config, &sys, HotStuffEngine::new, DagMempool::new),
-        Protocol::DagHotStuffFast => run_protocol(config, &sys, HotStuffEngine::new, |s, i| {
+        Protocol::DagHotStuffFast => visit_backend(config, sys, v, HotStuffEngine::new, |s, i| {
             DagMempool::with_mode(s, i, DagMode::FastPath)
         }),
     }
 }
 
-/// Runs one protocol with its backend mempool, wrapping the backend in a
-/// [`ShardedMempool`] when the configuration asks for more than one
-/// dissemination shard.  Every protocol of Table II composes with
-/// sharding this way (e.g. `StratusHotStuff` × k shards): the `make`
-/// closure receives the per-shard configuration (batch budget divided by
-/// `k`), and the replica id salts the per-shard RNG streams so different
-/// replicas stay decorrelated.
-fn run_protocol<E, M, FE, FM>(
-    config: &ExperimentConfig,
-    sys: &SystemConfig,
-    make_engine: FE,
-    make_mempool: FM,
-) -> ExperimentResult
-where
-    E: ConsensusEngine,
-    M: Mempool,
-    M::Msg: MempoolWire,
-    FE: Fn(&SystemConfig, ReplicaId) -> E,
-    FM: Fn(&SystemConfig, ReplicaId) -> M,
-{
-    if config.shards > 1 {
-        let k = config.shards;
-        run_generic(config, sys, make_engine, move |s, i| {
-            ShardedMempool::new(s, k, i.0 as u64, |_, shard_sys| make_mempool(shard_sys, i))
-        })
-    } else {
-        run_generic(config, sys, make_engine, make_mempool)
-    }
+/// Runs a single experiment.
+pub fn run(config: &ExperimentConfig) -> ExperimentResult {
+    dispatch(config, RunVisitor(config))
 }
 
-fn run_generic<E, M, FE, FM>(
-    config: &ExperimentConfig,
-    sys: &SystemConfig,
-    make_engine: FE,
-    make_mempool: FM,
-) -> ExperimentResult
-where
-    E: ConsensusEngine,
-    M: Mempool,
-    M::Msg: MempoolWire,
-    FE: Fn(&SystemConfig, ReplicaId) -> E,
-    FM: Fn(&SystemConfig, ReplicaId) -> M,
-    Replica<E, M>: Node,
-{
-    let rates = config.workload.rates(config.n);
-    let prioritize = config.protocol.is_stratus();
-    let observer = 0usize;
-    let telemetry = if config.telemetry {
-        Telemetry::new()
-    } else {
-        Telemetry::disabled()
-    };
-    let nodes: Vec<Replica<E, M>> = (0..config.n)
-        .map(|i| {
-            let id = ReplicaId(i as u32);
-            let mut mempool = make_mempool(sys, id);
-            mempool.set_telemetry(
-                telemetry
-                    .with_prefix(&format!("replica.{i}"))
-                    .with_track(i as u32),
-            );
-            Replica::new(
-                sys,
-                id,
-                make_engine(sys, id),
-                mempool,
-                config.behavior_for(i),
-                rates[i],
-                prioritize,
-                i == observer,
-            )
-        })
-        .collect();
-    let mut sim =
-        Simulation::new(nodes, config.net_config(), config.seed).with_telemetry(telemetry.clone());
-    let horizon = config.warmup + config.duration;
-    sim.run_until(horizon);
+struct RunVisitor<'a>(&'a ExperimentConfig);
 
-    collect_results(config, sim, observer, horizon, telemetry)
+impl ProtocolVisitor for RunVisitor<'_> {
+    type Out = ExperimentResult;
+
+    fn visit<E, M>(self, replica: impl Fn(usize, &Telemetry) -> Replica<E, M>) -> Self::Out
+    where
+        E: ConsensusEngine,
+        M: Mempool + Send + 'static,
+        M::Msg: MempoolWire + WireCodec + Send + 'static,
+    {
+        let config = self.0;
+        let telemetry = if config.telemetry {
+            Telemetry::new()
+        } else {
+            Telemetry::disabled()
+        };
+        let nodes = (0..config.n).map(|i| replica(i, &telemetry)).collect();
+        let mut sim = Simulation::new(nodes, config.net_config(), config.seed)
+            .with_telemetry(telemetry.clone());
+        let horizon = config.warmup + config.duration;
+        sim.run_until(horizon);
+        collect_results(config, sim, horizon, telemetry)
+    }
 }
 
 fn collect_results<E, M>(
     config: &ExperimentConfig,
     mut sim: Simulation<Replica<E, M>>,
-    observer: usize,
     horizon: SimTime,
     telemetry: Telemetry,
 ) -> ExperimentResult
@@ -392,8 +416,9 @@ where
     E: ConsensusEngine,
     M: Mempool,
     M::Msg: MempoolWire,
-    Replica<E, M>: Node,
 {
+    // Replica 0 is the observer: the one that records latencies.
+    let observer = 0;
     let window = (config.warmup, horizon);
     let view_changes: u64 = sim
         .nodes()

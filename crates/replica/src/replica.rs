@@ -59,8 +59,6 @@ pub struct ReplicaMetrics {
     pub view_changes: u64,
     /// Total transactions this replica received from clients.
     pub client_txs: u64,
-    /// Fetches for missing microblocks issued by the mempool.
-    pub missing_fetches: u64,
 }
 
 /// A full replica node: consensus + mempool + client workload.
@@ -389,7 +387,6 @@ where
                 });
             }
             MempoolEvent::FetchIssued { count } => {
-                self.metrics.missing_fetches += count as u64;
                 ctx.observe(ObsKind::MissingFetch { count });
             }
         }

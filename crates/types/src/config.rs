@@ -80,28 +80,6 @@ pub enum DagMode {
     FastPath,
 }
 
-impl DagMode {
-    /// Stable label for reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DagMode::Certified => "certified",
-            DagMode::FastPath => "fast-path",
-        }
-    }
-}
-
-impl std::str::FromStr for DagMode {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "certified" | "cert" => Ok(DagMode::Certified),
-            "fast-path" | "fastpath" | "fast" => Ok(DagMode::FastPath),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Batching parameters of the mempool (Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MempoolConfig {
@@ -165,9 +143,6 @@ pub struct SystemConfig {
     /// (`smp-shard`).  `1` disables sharding and runs the backend mempool
     /// unwrapped.
     pub shards: usize,
-    /// Commit-derivation mode of the DAG mempool (ignored by every other
-    /// backend).
-    pub dag_mode: DagMode,
 }
 
 impl SystemConfig {
@@ -188,7 +163,6 @@ impl SystemConfig {
             mempool: MempoolConfig::default(),
             view_change_timeout: 1_000 * MICROS_PER_MS,
             shards: 1,
-            dag_mode: DagMode::default(),
         }
     }
 
@@ -220,12 +194,6 @@ impl SystemConfig {
     /// Sets the mempool batching parameters.
     pub fn with_mempool(mut self, mempool: MempoolConfig) -> Self {
         self.mempool = mempool;
-        self
-    }
-
-    /// Sets the DAG mempool commit-derivation mode.
-    pub fn with_dag_mode(mut self, dag_mode: DagMode) -> Self {
-        self.dag_mode = dag_mode;
         self
     }
 
@@ -311,15 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn dag_mode_parses_and_defaults() {
-        assert_eq!("certified".parse(), Ok(DagMode::Certified));
-        assert_eq!("FAST".parse(), Ok(DagMode::FastPath));
-        assert_eq!(" fast-path ".parse(), Ok(DagMode::FastPath));
-        assert_eq!("bogus".parse::<DagMode>(), Err(()));
+    fn dag_mode_defaults_to_certified() {
         assert_eq!(DagMode::default(), DagMode::Certified);
-        assert_eq!(DagMode::FastPath.label(), "fast-path");
-        let c = SystemConfig::new(4).with_dag_mode(DagMode::FastPath);
-        assert_eq!(c.dag_mode, DagMode::FastPath);
     }
 
     #[test]
